@@ -56,12 +56,7 @@ fn synthetic_history(n: usize) -> Graph<QueueEvent> {
     let mut g = Graph::new();
     for i in 0..n {
         let id = EventId::from_raw(i as u64);
-        g.add_event(
-            QueueEvent::Enq(Val::Int(i as i64)),
-            1,
-            i as u64,
-            [id].into_iter().collect(),
-        );
+        g.add_event(QueueEvent::Enq(Val::Int(i as i64)), 1, i as u64, [id]);
     }
     for i in 0..n {
         let id = EventId::from_raw((n + i) as u64);
@@ -70,7 +65,7 @@ fn synthetic_history(n: usize) -> Graph<QueueEvent> {
             QueueEvent::Deq(Val::Int(i as i64)),
             2,
             (n + i) as u64,
-            [src, id].into_iter().collect(),
+            [src, id],
         );
         g.add_so(src, id);
     }

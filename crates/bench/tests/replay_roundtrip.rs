@@ -53,7 +53,9 @@ fn temp_root() -> PathBuf {
 
 #[test]
 fn saved_bundle_replays_deterministically() {
-    let root = temp_root();
+    // A subdirectory of its own: the tests run concurrently, and removing
+    // the shared root would delete the parallel test's bundles.
+    let root = temp_root().join("serial");
     let _ = fs::remove_dir_all(&root);
 
     let opts = CheckOptions {

@@ -75,11 +75,11 @@ pub fn commit_order<T>(g: &Graph<T>) -> Vec<EventId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LogView;
     use crate::history::{QueueInterp, StackInterp};
     use crate::queue_spec::QueueEvent::{Deq, EmpDeq, Enq};
     use crate::stack_spec::StackEvent::{Pop, Push};
     use orc11::Val;
-    use std::collections::BTreeSet;
 
     fn id(i: u64) -> EventId {
         EventId::from_raw(i)
@@ -88,7 +88,7 @@ mod tests {
     fn graph<T: Copy>(events: &[T]) -> Graph<T> {
         let mut g = Graph::new();
         for (i, ty) in events.iter().enumerate() {
-            let lv: BTreeSet<EventId> = [id(i as u64)].into_iter().collect();
+            let lv: LogView = [id(i as u64)].into_iter().collect();
             g.add_event(*ty, 1, i as u64, lv);
         }
         g

@@ -219,7 +219,7 @@ pub fn check_dealloc_hb(g: &Graph<ArcEvent>) -> SpecResult {
             vec![d],
         ));
     };
-    if !g.event(d).logview.contains(&last) {
+    if !g.event(d).logview.contains(last) {
         return Err(Violation::new(
             "ARC-DEALLOC-HB",
             format!("dealloc {d} does not happen-after the final drop {last}"),
@@ -237,7 +237,7 @@ pub fn check_uaf(g: &Graph<ArcEvent>) -> SpecResult {
     };
     let view = &g.event(d).logview;
     for (id, ev) in g.iter() {
-        if ev.ty.is_strong() && !view.contains(&id) {
+        if ev.ty.is_strong() && !view.contains(id) {
             return Err(Violation::new(
                 "ARC-UAF",
                 format!(
@@ -277,7 +277,7 @@ pub fn check_arc_consistent_prefixes(g: &Graph<ArcEvent>) -> SpecResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::event::LogView;
 
     fn id(i: u64) -> EventId {
         EventId::from_raw(i)
@@ -287,10 +287,10 @@ mod tests {
     fn graph(events: &[(ArcEvent, u64, &[u64])]) -> Graph<ArcEvent> {
         let mut g = Graph::new();
         for (i, (ty, step, preds)) in events.iter().enumerate() {
-            let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
+            let mut lv: LogView = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
-            for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+            for p in &lv {
+                closed.union_with(&g.event(p).logview);
             }
             lv = closed;
             lv.insert(id(i as u64));
@@ -377,8 +377,8 @@ mod tests {
         // in insertion order fails), but a reordering consistent with the
         // (empty) views exists — the conformance order stage accepts it.
         let mut g = Graph::new();
-        g.add_event(Drop { old: 2 }, 1, 1, BTreeSet::from([id(0)]));
-        g.add_event(Clone { old: 1 }, 2, 2, BTreeSet::from([id(1)]));
+        g.add_event(Drop { old: 2 }, 1, 1, LogView::from_iter([id(0)]));
+        g.add_event(Clone { old: 1 }, 2, 2, LogView::from_iter([id(1)]));
         assert_eq!(check_counts(&g).unwrap_err().rule, "ARC-COUNT");
         assert!(find_linearization(&g, &ArcInterp, &[]).is_some());
     }

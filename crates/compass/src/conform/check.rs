@@ -178,9 +178,10 @@ fn check_takes<E: Copy + fmt::Debug>(
     Ok(())
 }
 
-/// A topological order of `lhb` (Kahn's algorithm over the logviews).
-/// Always exists: interval orders are acyclic. Ties break by id, so the
-/// output is deterministic.
+/// A topological order of `lhb` (Kahn's algorithm over the logviews;
+/// a helping pair's mutual edges are not constraints). Always exists:
+/// interval orders are acyclic. Ties break by id, so the output is
+/// deterministic.
 fn lhb_topological_order<E>(g: &Graph<E>) -> Vec<EventId> {
     let n = g.len();
     let mut indegree = vec![0usize; n];
@@ -188,7 +189,7 @@ fn lhb_topological_order<E>(g: &Graph<E>) -> Vec<EventId> {
         indegree[id.index()] = ev
             .logview
             .iter()
-            .filter(|&&e| e != id && !g.event(e).logview.contains(&id))
+            .filter(|&e| g.lhb(e, id) && !g.lhb(id, e))
             .count();
     }
     let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
@@ -199,8 +200,8 @@ fn lhb_topological_order<E>(g: &Graph<E>) -> Vec<EventId> {
     while let Some(std::cmp::Reverse(i)) = ready.pop() {
         let id = EventId::from_raw(i as u64);
         order.push(id);
-        for (j, ev) in g.iter() {
-            if j != id && ev.logview.contains(&id) && !g.event(id).logview.contains(&j) {
+        for (j, _) in g.iter() {
+            if g.lhb(id, j) && !g.lhb(j, id) {
                 indegree[j.index()] -= 1;
                 if indegree[j.index()] == 0 {
                     ready.push(std::cmp::Reverse(j.index()));
@@ -1302,7 +1303,7 @@ mod tests {
         assert_eq!(order.len(), 2);
         let pos = |id: EventId| order.iter().position(|&x| x == id).unwrap();
         for (d, ev) in g.iter() {
-            for &e in &ev.logview {
+            for e in &ev.logview {
                 if e != d {
                     assert!(pos(e) < pos(d));
                 }

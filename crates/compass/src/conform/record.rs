@@ -8,12 +8,11 @@
 //! before `b` was invoked. See the module docs of [`crate::conform`] for
 //! why that under-approximation is the sound direction.
 
-use std::collections::BTreeSet;
 use std::io;
 
 use orc11::ThreadId;
 
-use crate::event::EventId;
+use crate::event::{EventId, LogView};
 use crate::graph::Graph;
 
 use super::check::ConformEvent;
@@ -108,16 +107,26 @@ impl<E: ConformEvent> History<E> {
         // Stable keys beyond `inv` make the reconstruction deterministic
         // even under timestamp ties.
         flat.sort_by_key(|&(tid, t)| (t.inv, t.resp, tid));
+        // Events in response order. `inv` is nondecreasing along `flat`,
+        // so the set of events that responded before `inv(i)` only grows
+        // with `i`; and each such event `j` has `inv(j) <= resp(j) <
+        // inv(i)`, so `j < i`.
+        let mut by_resp: Vec<usize> = (0..flat.len()).collect();
+        by_resp.sort_by_key(|&j| flat[j].1.resp);
+        let mut responded = LogView::with_capacity(flat.len());
+        let mut next = by_resp.iter().peekable();
         let mut g = Graph::new();
         for (i, &(tid, t)) in flat.iter().enumerate() {
-            let mut logview: BTreeSet<EventId> = flat[..i]
-                .iter()
-                .enumerate()
-                .filter(|(_, &(_, p))| p.resp < t.inv)
-                .map(|(j, _)| EventId::from_raw(j as u64))
-                .collect();
+            while let Some(&&j) = next.peek() {
+                if flat[j].1.resp >= t.inv {
+                    break;
+                }
+                responded.insert(EventId::from_raw(j as u64));
+                next.next();
+            }
+            let mut logview = responded.clone();
             logview.insert(EventId::from_raw(i as u64));
-            g.add_event(t.op, tid, i as u64, logview);
+            g.push_event(t.op, tid, i as u64, logview);
         }
         g
     }
@@ -142,7 +151,9 @@ impl<E: ConformEvent> History<E> {
     /// # Errors
     ///
     /// `InvalidData` on malformed lines, undecodable ops, zero thread
-    /// ids, or inverted intervals.
+    /// ids, thread ids larger than the number of op lines (a history
+    /// cannot have more threads than operations, and the bound keeps a
+    /// corrupt id from sizing the thread table), or inverted intervals.
     pub fn parse(text: &str) -> io::Result<History<E>> {
         let bad = |line: &str| {
             io::Error::new(
@@ -150,12 +161,14 @@ impl<E: ConformEvent> History<E> {
                 format!("malformed history line: {line:?}"),
             )
         };
+        let op_lines = || {
+            text.lines()
+                .map(str::trim)
+                .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        };
+        let max_tid = op_lines().count();
         let mut threads: Vec<Vec<TimedOp<E>>> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+        for line in op_lines() {
             let mut parts = line.splitn(4, char::is_whitespace);
             let tid: usize = parts
                 .next()
@@ -173,7 +186,7 @@ impl<E: ConformEvent> History<E> {
                 .next()
                 .and_then(|s| E::decode(s.trim()))
                 .ok_or_else(|| bad(line))?;
-            if tid == 0 || resp < inv {
+            if tid == 0 || tid > max_tid || resp < inv {
                 return Err(bad(line));
             }
             if threads.len() < tid {
@@ -264,6 +277,13 @@ mod tests {
             "inverted"
         );
         assert!(History::<QueueEvent>::parse("1 x 5 empdeq").is_err());
+        // Thread ids beyond the number of op lines must not size the
+        // thread table: no capacity-overflow panic, no huge allocation.
+        assert!(History::<QueueEvent>::parse("18446744073709551615 1 2 enq 1").is_err());
+        assert!(History::<QueueEvent>::parse("1000000000 1 2 enq 1").is_err());
+        assert!(History::<QueueEvent>::parse("3 1 2 enq 1\n1 3 4 deq 1\n").is_err());
+        let h = History::<QueueEvent>::parse("2 1 2 enq 1\n1 3 4 deq 1\n").unwrap();
+        assert_eq!((h.threads(), h.ops()), (2, 2));
         assert!(
             History::<QueueEvent>::parse("# only comments\n")
                 .unwrap()

@@ -261,8 +261,7 @@ impl SeqInterp for DequeInterp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventId;
-    use std::collections::BTreeSet;
+    use crate::event::{EventId, LogView};
     use DequeEvent::*;
 
     fn id(i: u64) -> EventId {
@@ -273,10 +272,10 @@ mod tests {
         // events: (type, tid, step, lhb-predecessors)
         let mut g = Graph::new();
         for (i, (ty, tid, step, preds)) in events.iter().enumerate() {
-            let lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
+            let lv: LogView = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
-            for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+            for p in &lv {
+                closed.union_with(&g.event(p).logview);
             }
             let mut lv = closed;
             lv.insert(id(i as u64));
@@ -372,16 +371,13 @@ mod tests {
 #[cfg(test)]
 mod subgraph_tests {
     use super::*;
-    use crate::event::EventId;
-    use std::collections::BTreeSet;
+    use crate::event::{EventId, LogView};
 
     #[test]
     fn mutator_subgraph_drops_empties_and_remaps() {
         use DequeEvent::*;
         let mut g: Graph<DequeEvent> = Graph::new();
-        let lv = |ids: &[u64]| -> BTreeSet<EventId> {
-            ids.iter().map(|&i| EventId::from_raw(i)).collect()
-        };
+        let lv = |ids: &[u64]| -> LogView { ids.iter().map(|&i| EventId::from_raw(i)).collect() };
         g.add_event(EmpSteal, 2, 1, lv(&[0]));
         g.add_event(Push(orc11::Val::Int(1)), 1, 2, lv(&[1]));
         g.add_event(Pop(orc11::Val::Int(1)), 1, 3, lv(&[1, 2]));
@@ -403,9 +399,7 @@ mod subgraph_tests {
         // whose owner Pop commits lhb-after the EmpSteal. Justified by the
         // reservation rule.
         let mut g: Graph<DequeEvent> = Graph::new();
-        let lv = |ids: &[u64]| -> BTreeSet<EventId> {
-            ids.iter().map(|&i| EventId::from_raw(i)).collect()
-        };
+        let lv = |ids: &[u64]| -> LogView { ids.iter().map(|&i| EventId::from_raw(i)).collect() };
         g.add_event(Push(orc11::Val::Int(4)), 1, 1, lv(&[0]));
         g.add_event(EmpSteal, 2, 2, lv(&[0, 1]));
         g.add_event(Pop(orc11::Val::Int(4)), 1, 3, lv(&[0, 1, 2]));

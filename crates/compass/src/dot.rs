@@ -13,7 +13,7 @@
 use std::fmt::Debug;
 use std::fmt::Write as _;
 
-use crate::event::EventId;
+use crate::event::{EventId, LogView};
 use crate::graph::Graph;
 
 /// Renders `g` as a Graphviz digraph named `name`.
@@ -23,9 +23,9 @@ use crate::graph::Graph;
 /// use compass::{EventId, Graph};
 ///
 /// let mut g: Graph<&str> = Graph::new();
-/// let a = g.add_event("Enq(1)", 1, 5, [EventId::from_raw(0)].into_iter().collect());
+/// let a = g.add_event("Enq(1)", 1, 5, [EventId::from_raw(0)]);
 /// let b = g.add_event("Deq(1)", 2, 9,
-///                     [EventId::from_raw(0), EventId::from_raw(1)].into_iter().collect());
+///                     [EventId::from_raw(0), EventId::from_raw(1)]);
 /// g.add_so(a, b);
 /// let dot = to_dot(&g, "mp");
 /// assert!(dot.contains("digraph mp"));
@@ -60,18 +60,32 @@ pub fn to_dot_flagged<T: Debug>(g: &Graph<T>, name: &str, flagged: &[EventId]) -
     for &(a, b) in g.so() {
         let _ = writeln!(out, "  {a} -> {b} [color=blue, penwidth=2];");
     }
-    // lhb, transitively reduced, dashed (skip edges implied by others and
-    // mutual helping pairs' back-edges beyond id order).
+    // lhb, transitively reduced, dashed: an edge `e -> d` is drawn for
+    // each lhb-predecessor `e` of `d` (a helping pair keeps only its
+    // id-ordered edge) that is not implied, i.e. not a strict
+    // lhb-predecessor of another predecessor `m` — one union of the
+    // predecessors' logviews per `d`.
     for (d, ev) in g.iter() {
-        let preds: Vec<EventId> = ev
-            .logview
-            .iter()
-            .copied()
-            .filter(|&e| e != d && !(g.lhb(d, e) && e > d))
+        let mut preds = ev.logview.clone();
+        preds.remove(d);
+        let helpers: Vec<EventId> = preds
+            .iter_from(EventId::from_raw(d.raw() + 1))
+            .filter(|&e| g.lhb(d, e))
             .collect();
-        for &e in &preds {
-            let implied = preds.iter().any(|&m| m != e && g.lhb(e, m));
-            if !implied && !g.so().contains(&(e, d)) {
+        for e in helpers {
+            preds.remove(e);
+        }
+        let mut implied = LogView::new();
+        for m in &preds {
+            // `m` itself is implied only via another predecessor.
+            let had = implied.contains(m);
+            implied.union_with(&g.event(m).logview);
+            if !had {
+                implied.remove(m);
+            }
+        }
+        for e in &preds {
+            if !implied.contains(e) && !g.so().contains(&(e, d)) {
                 let _ = writeln!(out, "  {e} -> {d} [style=dashed, color=gray40];");
             }
         }
@@ -83,9 +97,7 @@ pub fn to_dot_flagged<T: Debug>(g: &Graph<T>, name: &str, flagged: &[EventId]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-
-    fn lv(ids: &[u64]) -> BTreeSet<EventId> {
+    fn lv(ids: &[u64]) -> LogView {
         ids.iter().map(|&i| EventId::from_raw(i)).collect()
     }
 

@@ -133,7 +133,7 @@ pub fn check_atomic_pairs(g: &Graph<ExchangeEvent>) -> SpecResult {
                 vec![a, b],
             ));
         }
-        if !ea.logview.contains(&b) || !eb.logview.contains(&a) || ea.logview != eb.logview {
+        if !ea.logview.contains(b) || !eb.logview.contains(a) || ea.logview != eb.logview {
             return Err(Violation::new(
                 "EXCHANGER-ATOMIC-PAIRS",
                 format!("pair ({a}, {b}) does not share the completed logview M'"),
@@ -170,7 +170,7 @@ pub fn check_exchanger_consistent(g: &Graph<ExchangeEvent>) -> SpecResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::event::LogView;
 
     fn id(i: u64) -> EventId {
         EventId::from_raw(i)
@@ -178,7 +178,7 @@ mod tests {
 
     fn pair_graph() -> Graph<ExchangeEvent> {
         let mut g = Graph::new();
-        let lv: BTreeSet<EventId> = [id(0), id(1)].into_iter().collect();
+        let lv: LogView = [id(0), id(1)].into_iter().collect();
         g.add_event(
             ExchangeEvent {
                 give: Val::Int(1),
@@ -217,7 +217,7 @@ mod tests {
             },
             1,
             1,
-            [id(0)].into_iter().collect(),
+            [id(0)],
         );
         check_exchanger_consistent(&g).unwrap();
     }
@@ -232,7 +232,7 @@ mod tests {
             },
             1,
             1,
-            [id(0)].into_iter().collect(),
+            [id(0)],
         );
         assert_eq!(
             check_exchanger_consistent(&g).unwrap_err().rule,
@@ -250,7 +250,7 @@ mod tests {
             },
             3,
             9,
-            [id(2)].into_iter().collect(),
+            [id(2)],
         );
         g.add_so(id(0), id(2));
         assert_eq!(check_symmetric(&g).unwrap_err().rule, "EXCHANGER-SYM");
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn values_must_cross_over() {
         let mut g = Graph::new();
-        let lv: BTreeSet<EventId> = [id(0), id(1)].into_iter().collect();
+        let lv: LogView = [id(0), id(1)].into_iter().collect();
         g.add_event(
             ExchangeEvent {
                 give: Val::Int(1),
@@ -288,7 +288,7 @@ mod tests {
         // Same pair but committed at different steps: intermediate state
         // was observable.
         let mut g = Graph::new();
-        let lv: BTreeSet<EventId> = [id(0), id(1)].into_iter().collect();
+        let lv: LogView = [id(0), id(1)].into_iter().collect();
         g.add_event(
             ExchangeEvent {
                 give: Val::Int(1),
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn self_exchange_rejected() {
         let mut g = Graph::new();
-        let lv: BTreeSet<EventId> = [id(0), id(1)].into_iter().collect();
+        let lv: LogView = [id(0), id(1)].into_iter().collect();
         for _ in 0..2 {
             g.add_event(
                 ExchangeEvent {

@@ -5,7 +5,7 @@ use std::fmt;
 
 use orc11::ThreadId;
 
-use crate::event::{Event, EventId};
+use crate::event::{Event, EventId, LogView};
 use crate::spec::{SpecResult, Violation};
 
 /// A library object's event graph (the paper's `G ∈ Graph`, §3.1): the
@@ -20,9 +20,9 @@ use crate::spec::{SpecResult, Violation};
 /// use compass::{EventId, Graph};
 ///
 /// let mut g: Graph<&str> = Graph::new();
-/// let e = g.add_event("enq", 1, 10, [EventId::from_raw(0)].into_iter().collect());
+/// let e = g.add_event("enq", 1, 10, [EventId::from_raw(0)]);
 /// let d = g.add_event("deq", 2, 20,
-///                     [EventId::from_raw(0), EventId::from_raw(1)].into_iter().collect());
+///                     [EventId::from_raw(0), EventId::from_raw(1)]);
 /// g.add_so(e, d);
 /// assert!(g.lhb(e, d));
 /// assert_eq!(g.so_source(d), Some(e));
@@ -82,16 +82,27 @@ impl<T> Graph<T> {
 
     /// Local happens-before: `e` happens before `d` (strictly).
     pub fn lhb(&self, e: EventId, d: EventId) -> bool {
-        e != d && self.events[d.index()].logview.contains(&e)
+        e != d && self.events[d.index()].logview.contains(e)
     }
 
-    /// Adds an event; returns its id.
+    /// Adds an event whose logview holds the given ids; returns its id.
     pub fn add_event(
         &mut self,
         ty: T,
         tid: ThreadId,
         step: u64,
-        logview: BTreeSet<EventId>,
+        logview: impl IntoIterator<Item = EventId>,
+    ) -> EventId {
+        self.push_event(ty, tid, step, logview.into_iter().collect())
+    }
+
+    /// [`Graph::add_event`] for a logview that is already a [`LogView`].
+    pub(crate) fn push_event(
+        &mut self,
+        ty: T,
+        tid: ThreadId,
+        step: u64,
+        logview: LogView,
     ) -> EventId {
         let id = self.next_id();
         self.events.push(Event {
@@ -130,23 +141,21 @@ impl<T> Graph<T> {
     pub fn check_well_formed(&self) -> SpecResult {
         let n = self.events.len() as u64;
         for (id, ev) in self.iter() {
-            for &e in &ev.logview {
-                if e.raw() >= n {
-                    return Err(Violation::new(
-                        "WF-LOGVIEW",
-                        format!("logview of {id} contains unknown event {e}"),
-                        vec![id, e],
-                    ));
-                }
+            if let Some(e) = ev.logview.iter_from(EventId::from_raw(n)).next() {
+                return Err(Violation::new(
+                    "WF-LOGVIEW",
+                    format!("logview of {id} contains unknown event {e}"),
+                    vec![id, e],
+                ));
             }
-            if !ev.logview.contains(&id) {
+            if !ev.logview.contains(id) {
                 return Err(Violation::new(
                     "WF-SELF",
                     format!("event {id} is not in its own logview"),
                     vec![id],
                 ));
             }
-            for &e in &ev.logview {
+            for e in &ev.logview {
                 if e != id && !self.events[e.index()].logview.is_subset(&ev.logview) {
                     return Err(Violation::new(
                         "WF-CLOSED",
@@ -190,13 +199,13 @@ impl<T> Graph<T> {
         let mut g = Graph::new();
         for (id, ev) in self.iter() {
             if let Some(new_id) = remap[id.index()] {
-                let logview: BTreeSet<EventId> = ev
+                let mut logview: LogView = ev
                     .logview
                     .iter()
                     .filter_map(|e| remap.get(e.index()).copied().flatten())
-                    .chain(std::iter::once(new_id))
                     .collect();
-                g.add_event(ev.ty.clone(), ev.tid, ev.step, logview);
+                logview.insert(new_id);
+                g.push_event(ev.ty.clone(), ev.tid, ev.step, logview);
             }
         }
         for &(a, b) in &self.so {
@@ -218,15 +227,24 @@ impl<T> Graph<T> {
         T: Clone,
     {
         let keep = |id: EventId| self.events[id.index()].step < step;
+        let kept: LogView = self
+            .iter()
+            .map(|(id, _)| id)
+            .filter(|&id| keep(id))
+            .collect();
         let events: Vec<Event<T>> = self
             .events
             .iter()
             .take_while(|e| e.step < step)
-            .map(|e| Event {
-                ty: e.ty.clone(),
-                tid: e.tid,
-                step: e.step,
-                logview: e.logview.iter().copied().filter(|&x| keep(x)).collect(),
+            .map(|e| {
+                let mut logview = e.logview.clone();
+                logview.intersect_with(&kept);
+                Event {
+                    ty: e.ty.clone(),
+                    tid: e.tid,
+                    step: e.step,
+                    logview,
+                }
             })
             .collect();
         let so = self
@@ -249,7 +267,7 @@ impl<T: fmt::Debug> fmt::Display for Graph<T> {
                 ev.ty,
                 ev.tid,
                 ev.step,
-                ev.logview.iter().filter(|&&e| e != id).collect::<Vec<_>>()
+                ev.logview.iter().filter(|&e| e != id).collect::<Vec<_>>()
             )?;
         }
         writeln!(f, "  so: {:?}", self.so)
@@ -260,7 +278,7 @@ impl<T: fmt::Debug> fmt::Display for Graph<T> {
 mod tests {
     use super::*;
 
-    fn lv(ids: &[u64]) -> BTreeSet<EventId> {
+    fn lv(ids: &[u64]) -> LogView {
         ids.iter().map(|&i| EventId::from_raw(i)).collect()
     }
 

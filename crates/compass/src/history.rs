@@ -9,7 +9,7 @@ use std::hash::Hash;
 
 use orc11::Val;
 
-use crate::event::EventId;
+use crate::event::{EventId, LogView};
 use crate::graph::Graph;
 use crate::queue_spec::QueueEvent;
 use crate::spec::{SpecResult, Violation};
@@ -166,25 +166,6 @@ pub fn take_search_stats() -> SearchStats {
     SEARCH_STATS.with(|s| std::mem::take(&mut *s.borrow_mut()))
 }
 
-/// A growable bitset over event indices.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
-struct BitSet(Vec<u64>);
-
-impl BitSet {
-    fn new(n: usize) -> Self {
-        BitSet(vec![0; n.div_ceil(64)])
-    }
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-    fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
-    }
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] & (1 << (i % 64)) != 0
-    }
-}
-
 /// Searches for a linearization: a permutation `to` of the graph's events
 /// such that
 ///
@@ -207,9 +188,9 @@ impl BitSet {
 /// // order is not sequential, but a reordering exists.
 /// let mut g = Graph::new();
 /// g.add_event(QueueEvent::Deq(Val::Int(1)), 2, 10,
-///             [EventId::from_raw(0)].into_iter().collect());
+///             [EventId::from_raw(0)]);
 /// g.add_event(QueueEvent::Enq(Val::Int(1)), 1, 20,
-///             [EventId::from_raw(1)].into_iter().collect());
+///             [EventId::from_raw(1)]);
 /// let to = find_linearization(&g, &QueueInterp, &[]).expect("linearizable");
 /// assert_eq!(to, vec![EventId::from_raw(1), EventId::from_raw(0)]);
 /// ```
@@ -224,37 +205,34 @@ pub fn find_linearization<I: SeqInterp>(
         SEARCH_STATS.with(|s| s.borrow_mut().searches += 1);
         return Some(Vec::new());
     }
-    // preds[i] = events that must precede i.
-    let mut preds: Vec<Vec<usize>> = g
+    // preds[i] = events that must precede i. Mutual lhb (helping pairs
+    // have each other in their logviews) would make the constraints
+    // unsatisfiable; keep only the id-ordered half (helpee before helper).
+    let mut preds: Vec<LogView> = g
         .iter()
         .map(|(id, ev)| {
-            ev.logview
-                .iter()
-                .copied()
-                .filter(|&e| e != id)
-                .map(|e| e.index())
-                .collect::<Vec<usize>>()
+            let mut pred = ev.logview.clone();
+            pred.remove(id);
+            pred
         })
         .collect();
     for &(a, b) in extra {
-        preds[b.index()].push(a.index());
+        preds[b.index()].insert(a);
     }
-    // Mutual lhb (helping pairs have each other in their logviews) would
-    // make the constraints unsatisfiable; keep only the id-ordered half
-    // (helpee before helper).
     for (i, pred) in preds.iter_mut().enumerate() {
         let me = EventId::from_raw(i as u64);
-        pred.retain(|&p| {
-            let mutual = g.event(EventId::from_raw(p as u64)).logview.contains(&me);
-            !(mutual && p > i)
-        });
-        pred.sort_unstable();
-        pred.dedup();
+        let helpers: Vec<EventId> = pred
+            .iter_from(EventId::from_raw(i as u64 + 1))
+            .filter(|&p| g.event(p).logview.contains(me))
+            .collect();
+        for p in helpers {
+            pred.remove(p);
+        }
     }
 
-    let mut done = BitSet::new(n);
+    let mut done = LogView::with_capacity(n);
     let mut order: Vec<EventId> = Vec::with_capacity(n);
-    let mut memo: HashSet<(BitSet, I::State)> = HashSet::new();
+    let mut memo: HashSet<(LogView, I::State)> = HashSet::new();
     let state = I::State::default();
     let mut stats = SearchStats {
         searches: 1,
@@ -265,11 +243,11 @@ pub fn find_linearization<I: SeqInterp>(
     fn dfs<I: SeqInterp>(
         g: &Graph<I::Ev>,
         interp: &I,
-        preds: &[Vec<usize>],
-        done: &mut BitSet,
+        preds: &[LogView],
+        done: &mut LogView,
         order: &mut Vec<EventId>,
         state: &I::State,
-        memo: &mut HashSet<(BitSet, I::State)>,
+        memo: &mut HashSet<(LogView, I::State)>,
         stats: &mut SearchStats,
         n: usize,
     ) -> bool {
@@ -280,20 +258,20 @@ pub fn find_linearization<I: SeqInterp>(
             stats.memo_prunes += 1;
             return false;
         }
-        for i in 0..n {
-            if done.get(i) || !preds[i].iter().all(|&p| done.get(p)) {
+        for (i, pred) in preds.iter().enumerate() {
+            let id = EventId::from_raw(i as u64);
+            if done.contains(id) || !pred.is_subset(done) {
                 continue;
             }
-            let id = EventId::from_raw(i as u64);
             if let Some(next) = interp.apply(state, &g.event(id).ty) {
-                done.set(i);
+                done.insert(id);
                 order.push(id);
                 stats.nodes += 1;
                 if dfs(g, interp, preds, done, order, &next, memo, stats, n) {
                     return true;
                 }
                 order.pop();
-                done.clear(i);
+                done.remove(id);
                 stats.backtracks += 1;
             }
         }
@@ -337,13 +315,10 @@ pub fn validate_linearization<I: SeqInterp>(
         pos[id.index()] = k;
     }
     for (d, ev) in g.iter() {
-        for &e in &ev.logview {
-            if e == d {
-                continue;
-            }
+        for e in &ev.logview {
             // Helping pairs are mutually lhb-related; only the id order is
             // required of `to` for them.
-            if g.event(e).logview.contains(&d) {
+            if e == d || g.event(e).logview.contains(d) {
                 continue;
             }
             if pos[e.index()] > pos[d.index()] {
@@ -390,7 +365,7 @@ pub fn check_linearizable<I: SeqInterp>(g: &Graph<I::Ev>, interp: &I) -> SpecRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::event::LogView;
 
     fn id(i: u64) -> EventId {
         EventId::from_raw(i)
@@ -399,10 +374,10 @@ mod tests {
     fn graph<T: Copy>(events: &[(T, u64, &[u64])]) -> Graph<T> {
         let mut g = Graph::new();
         for (i, (ty, step, preds)) in events.iter().enumerate() {
-            let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
+            let mut lv: LogView = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
-            for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+            for p in &lv {
+                closed.union_with(&g.event(p).logview);
             }
             lv = closed;
             lv.insert(id(i as u64));
@@ -508,7 +483,7 @@ mod tests {
     fn helping_pair_mutual_lhb_is_searchable() {
         // Elimination pair: push and pop with each other in their logviews.
         let mut g: Graph<StackEvent> = Graph::new();
-        let lv: BTreeSet<EventId> = [id(0), id(1)].into_iter().collect();
+        let lv: LogView = [id(0), id(1)].into_iter().collect();
         g.add_event(Push(Val::Int(5)), 1, 7, lv.clone());
         g.add_event(Pop(Val::Int(5)), 2, 7, lv);
         let to = find_linearization(&g, &StackInterp, &[]).unwrap();

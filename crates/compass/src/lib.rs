@@ -95,7 +95,7 @@ pub mod stack_spec;
 pub mod stm_spec;
 
 pub use checker::{CheckOptions, CheckReport, CheckTarget, ExecOrigin, Exploration};
-pub use event::{Event, EventId};
+pub use event::{Event, EventId, LogView};
 pub use graph::Graph;
 pub use history::SearchStats;
 pub use object::LibObj;

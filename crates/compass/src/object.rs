@@ -1,6 +1,5 @@
 //! Library objects: shared graphs plus the commit-point API.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -8,7 +7,7 @@ use orc11::sync::{Mutex, MutexGuard};
 
 use orc11::{GhostHandle, ThreadCtx};
 
-use crate::event::{logview_from_raw, EventId};
+use crate::event::{logview_from_raw, EventId, LogView};
 use crate::graph::Graph;
 
 static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
@@ -82,7 +81,7 @@ impl<T> LibObj<T> {
     }
 
     /// The calling thread's logical view of this object (its `M₀`).
-    pub fn seen(&self, ctx: &ThreadCtx) -> BTreeSet<EventId> {
+    pub fn seen(&self, ctx: &ThreadCtx) -> LogView {
         logview_from_raw(&ctx.ghost(self.key))
     }
 
@@ -99,7 +98,7 @@ impl<T> LibObj<T> {
         let id = g.next_id();
         let mut logview = logview_from_raw(&gh.ghost(self.key));
         logview.insert(id);
-        g.add_event(ty, gh.tid(), gh.step_index(), logview);
+        g.push_event(ty, gh.tid(), gh.step_index(), logview);
         gh.ghost_add(self.key, id.raw());
         id
     }
@@ -112,7 +111,7 @@ impl<T> LibObj<T> {
         let id = g.next_id();
         let mut logview = logview_from_raw(&gh.ghost(self.key));
         logview.insert(id);
-        g.add_event(ty, tid, gh.step_index(), logview);
+        g.push_event(ty, tid, gh.step_index(), logview);
         gh.ghost_add(self.key, id.raw());
         id
     }
@@ -124,7 +123,7 @@ impl<T> LibObj<T> {
         let id = g.next_id();
         let mut logview = logview_from_raw(&gh.ghost(self.key));
         logview.insert(id);
-        g.add_event(ty, gh.tid(), gh.step_index(), logview);
+        g.push_event(ty, gh.tid(), gh.step_index(), logview);
         g.add_so(source, id);
         gh.ghost_add(self.key, id.raw());
         id
@@ -161,8 +160,8 @@ impl<T> LibObj<T> {
         logview.insert(e1);
         logview.insert(e2);
         let step = gh.step_index();
-        g.add_event(first.1, first.0, step, logview.clone());
-        g.add_event(second.1, second.0, step, logview);
+        g.push_event(first.1, first.0, step, logview.clone());
+        g.push_event(second.1, second.0, step, logview);
         let pick = |i: usize| if i == 0 { e1 } else { e2 };
         for &(a, b) in so_edges {
             g.add_so(pick(a), pick(b));
@@ -201,9 +200,9 @@ mod tests {
                         ctx.write_with(*flag, Val::Int(1), Mode::Release, |gh| {
                             obj.commit(gh, "enq");
                         });
-                        BTreeSet::new()
+                        LogView::new()
                     },
-                ) as BodyFn<'_, _, BTreeSet<EventId>>,
+                ) as BodyFn<'_, _, LogView>,
                 Box::new(
                     |ctx: &mut orc11::ThreadCtx, (flag, obj): &(Loc, LibObj<&str>)| {
                         ctx.read_await(*flag, Mode::Acquire, |v| v == Val::Int(1));
@@ -216,7 +215,7 @@ mod tests {
                 g.check_well_formed().unwrap();
                 assert_eq!(g.len(), 1);
                 // The acquiring thread has the event in its logical view.
-                assert!(outs[1].contains(&EventId::from_raw(0)));
+                assert!(outs[1].contains(EventId::from_raw(0)));
                 g.event(EventId::from_raw(0)).ty
             },
         );
@@ -292,8 +291,8 @@ mod tests {
                 assert_eq!(g.event(a).tid, 7);
                 assert!(g.so().contains(&(a, b)) && g.so().contains(&(b, a)));
                 // Mutual logviews.
-                assert!(g.event(a).logview.contains(&b));
-                assert!(g.event(b).logview.contains(&a));
+                assert!(g.event(a).logview.contains(b));
+                assert!(g.event(b).logview.contains(a));
                 g.len()
             },
         );

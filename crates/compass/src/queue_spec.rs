@@ -236,7 +236,7 @@ pub fn check_queue_consistent_prefixes(g: &Graph<QueueEvent>) -> SpecResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::event::LogView;
 
     fn id(i: u64) -> EventId {
         EventId::from_raw(i)
@@ -246,11 +246,11 @@ mod tests {
     fn graph(events: &[(QueueEvent, u64, &[u64])], so: &[(u64, u64)]) -> Graph<QueueEvent> {
         let mut g = Graph::new();
         for (i, (ty, step, preds)) in events.iter().enumerate() {
-            let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
+            let mut lv: LogView = preds.iter().map(|&p| id(p)).collect();
             // Close under lhb.
             let mut closed = lv.clone();
-            for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+            for p in &lv {
+                closed.union_with(&g.event(p).logview);
             }
             lv = closed;
             lv.insert(id(i as u64));

@@ -14,11 +14,9 @@
 //! * [`Seen::observed`] — membership in `M₀`, e.g. the MP client's
 //!   "the right thread has seen both enqueues".
 
-use std::collections::BTreeSet;
-
 use orc11::ThreadCtx;
 
-use crate::event::EventId;
+use crate::event::{EventId, LogView};
 use crate::graph::Graph;
 use crate::object::LibObj;
 use crate::spec::{SpecResult, Violation};
@@ -31,7 +29,7 @@ pub struct Seen {
     /// the prefix length determines the snapshot).
     pub graph_len: usize,
     /// The thread's local logical view `M₀`.
-    pub logview: BTreeSet<EventId>,
+    pub logview: LogView,
 }
 
 impl Seen {
@@ -45,7 +43,7 @@ impl Seen {
 
     /// Whether event `e` is in `M₀`.
     pub fn observed(&self, e: EventId) -> bool {
-        self.logview.contains(&e)
+        self.logview.contains(e)
     }
 
     /// Monotonicity between two snapshots taken (in order) by one thread:
@@ -69,14 +67,16 @@ impl Seen {
                 vec![],
             ));
         }
-        for &e in &self.logview {
-            if e.index() >= g.len() {
-                return Err(Violation::new(
-                    "SEEN-LOGVIEW",
-                    format!("observed event {e} is not in the graph"),
-                    vec![e],
-                ));
-            }
+        if let Some(e) = self
+            .logview
+            .iter_from(EventId::from_raw(g.len() as u64))
+            .next()
+        {
+            return Err(Violation::new(
+                "SEEN-LOGVIEW",
+                format!("observed event {e} is not in the graph"),
+                vec![e],
+            ));
         }
         Ok(())
     }
@@ -171,7 +171,7 @@ mod tests {
         let g: Graph<QueueEvent> = Graph::new();
         let s = Seen {
             graph_len: 3,
-            logview: BTreeSet::new(),
+            logview: LogView::new(),
         };
         assert_eq!(s.still_valid(&g).unwrap_err().rule, "SEEN-SNAPSHOT");
         let s = Seen {

@@ -34,7 +34,7 @@ use crate::exchanger_spec::ExchangeEvent;
 use crate::queue_spec::QueueEvent;
 use crate::stack_spec::StackEvent;
 
-use super::SoakOp;
+use super::{is_tracked, SoakOp};
 
 /// How many epochs an unresolved take (or unpaired exchange) is held
 /// before being force-resolved: the produce/partner can land in a later
@@ -425,11 +425,20 @@ impl<E: SoakEvent> PairAssembler<E> {
         slice
     }
 
-    /// Emits everything still held at shutdown: with all mutators
+    /// Resolves everything still held at shutdown. With all mutators
     /// joined every op has been submitted, so a still-unpaired success
-    /// is a genuine asymmetry for the checker to flag.
+    /// that received a *tracked* value (offered while recording was on,
+    /// hence recorded) is a genuine asymmetry for the checker to flag.
+    /// One that received an untracked value exchanged with an op that
+    /// was never recorded — recording is switched per epoch, and the
+    /// two sides of an exchange can straddle a switch — so it is
+    /// dropped and counted: flagging it would be a false positive.
     pub(crate) fn flush(&mut self) -> Vec<SoakOp<E>> {
-        std::mem::take(&mut self.hold)
+        let (flagged, unrecorded): (Vec<_>, Vec<_>) = std::mem::take(&mut self.hold)
+            .into_iter()
+            .partition(|op| matches!(op.op.received(), Some(Val::Int(v)) if is_tracked(v)));
+        self.stats.dropped_unpaired += unrecorded.len() as u64;
+        flagged
     }
 }
 
@@ -624,19 +633,22 @@ mod tests {
             inv: 0,
             resp: 1,
         };
-        let orphan = SoakOp {
+        let orphan = |got: i64| SoakOp {
             thread: 1,
             op: ExchangeEvent {
                 give: int(6),
-                got: Some(int(99)),
+                got: Some(int(got)),
             },
             inv: 0,
             resp: 1,
         };
-        let s = a.assemble(0, vec![fail, orphan]);
-        assert_eq!(s.len(), 1, "failure emitted, orphan success held");
+        let tracked = 99 | crate::soak::TRACKED_BIT;
+        let s = a.assemble(0, vec![fail, orphan(tracked), orphan(98)]);
+        assert_eq!(s.len(), 1, "failure emitted, orphan successes held");
         let flushed = a.flush();
-        assert_eq!(flushed.len(), 1, "orphan emitted at shutdown");
-        assert_eq!(flushed[0].op.got, Some(int(99)));
+        assert_eq!(flushed.len(), 1, "tracked orphan emitted at shutdown");
+        assert_eq!(flushed[0].op.got, Some(int(tracked)));
+        // The untracked orphan's partner was never recorded: dropped.
+        assert_eq!(a.stats().dropped_unpaired, 1);
     }
 }

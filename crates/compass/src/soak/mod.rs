@@ -111,11 +111,12 @@ pub struct SoakOptions {
     pub check_delay_ns: u64,
     /// Hard bound on assembled slice size: a sealed epoch whose slice
     /// exceeds this many events is shed (and the governor degrades
-    /// sampling) instead of checked. The staged checks are
-    /// super-quadratic in slice size, so one oversized epoch could
-    /// otherwise stall the worker pool for seconds; this bound keeps
-    /// per-epoch check cost predictable no matter how the adaptive
-    /// sampling was sized.
+    /// sampling) instead of checked. The staged checks' linearization
+    /// search is exponential in the worst case (the rest is bitset work
+    /// polynomial in slice size), so one oversized epoch could otherwise
+    /// stall the worker pool for seconds; this bound keeps per-epoch
+    /// check cost predictable no matter how the adaptive sampling was
+    /// sized.
     pub max_epoch_events: usize,
     /// Checker CPU duty budget in per-mille (1000 = unthrottled). Below
     /// 1000, each worker sleeps after a check so its busy fraction stays

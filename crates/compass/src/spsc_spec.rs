@@ -141,8 +141,8 @@ pub fn derive_spsc(g: &Graph<QueueEvent>) -> SpecResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LogView;
     use orc11::Val;
-    use std::collections::BTreeSet;
 
     fn id(i: u64) -> EventId {
         EventId::from_raw(i)
@@ -151,7 +151,7 @@ mod tests {
     /// SPSC history: producer tid 1 enqueues, consumer tid 2 dequeues.
     fn spsc_graph(pairs: usize) -> Graph<QueueEvent> {
         let mut g = Graph::new();
-        let mut prod_view: BTreeSet<EventId> = BTreeSet::new();
+        let mut prod_view: LogView = LogView::new();
         for i in 0..pairs {
             let e = g.next_id();
             prod_view.insert(e);
@@ -162,13 +162,13 @@ mod tests {
                 prod_view.clone(),
             );
         }
-        let mut cons_view: BTreeSet<EventId> = BTreeSet::new();
+        let mut cons_view: LogView = LogView::new();
         for i in 0..pairs {
             let d = g.next_id();
             let src = id(i as u64);
             cons_view.insert(d);
             cons_view.insert(src);
-            cons_view.extend(g.event(src).logview.iter().copied());
+            cons_view.union_with(&g.event(src).logview);
             g.add_event(
                 QueueEvent::Deq(Val::Int(i as i64)),
                 2,
@@ -190,12 +190,7 @@ mod tests {
     #[test]
     fn third_thread_breaks_roles() {
         let mut g = spsc_graph(2);
-        g.add_event(
-            QueueEvent::Enq(Val::Int(9)),
-            3,
-            99,
-            [g.next_id()].into_iter().collect(),
-        );
+        g.add_event(QueueEvent::Enq(Val::Int(9)), 3, 99, [g.next_id()]);
         assert_eq!(check_roles(&g).unwrap_err().rule, "SPSC-ROLES");
     }
 
@@ -205,7 +200,7 @@ mod tests {
         // before #0 (this also violates general FIFO — the point of the
         // test is the specific SPSC clause).
         let mut g = Graph::new();
-        let lv = |ids: &[u64]| -> BTreeSet<EventId> { ids.iter().map(|&i| id(i)).collect() };
+        let lv = |ids: &[u64]| -> LogView { ids.iter().map(|&i| id(i)).collect() };
         g.add_event(QueueEvent::Enq(Val::Int(0)), 1, 1, lv(&[0]));
         g.add_event(QueueEvent::Enq(Val::Int(1)), 1, 2, lv(&[0, 1]));
         g.add_event(QueueEvent::Deq(Val::Int(1)), 2, 3, lv(&[0, 1, 2]));
@@ -216,7 +211,7 @@ mod tests {
     #[test]
     fn missing_po_edge_detected() {
         let mut g = Graph::new();
-        let lv = |ids: &[u64]| -> BTreeSet<EventId> { ids.iter().map(|&i| id(i)).collect() };
+        let lv = |ids: &[u64]| -> LogView { ids.iter().map(|&i| id(i)).collect() };
         g.add_event(QueueEvent::Enq(Val::Int(0)), 1, 1, lv(&[0]));
         // Same thread, but the second event's logview omits the first.
         g.add_event(QueueEvent::Enq(Val::Int(1)), 1, 2, lv(&[1]));

@@ -202,7 +202,7 @@ pub fn check_stack_consistent_prefixes(g: &Graph<StackEvent>) -> SpecResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::event::LogView;
     use StackEvent::*;
 
     fn id(i: u64) -> EventId {
@@ -212,10 +212,10 @@ mod tests {
     fn graph(events: &[(StackEvent, u64, &[u64])], so: &[(u64, u64)]) -> Graph<StackEvent> {
         let mut g = Graph::new();
         for (i, (ty, step, preds)) in events.iter().enumerate() {
-            let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
+            let mut lv: LogView = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
-            for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+            for p in &lv {
+                closed.union_with(&g.event(p).logview);
             }
             lv = closed;
             lv.insert(id(i as u64));
@@ -298,7 +298,7 @@ mod tests {
         // A push/pop pair committed atomically together (same step), as an
         // elimination produces.
         let mut g = Graph::new();
-        let lv: BTreeSet<EventId> = [id(0), id(1)].into_iter().collect();
+        let lv: LogView = [id(0), id(1)].into_iter().collect();
         g.add_event(Push(v), 1, 7, lv.clone());
         g.add_event(Pop(v), 2, 7, lv);
         g.add_so(id(0), id(1));

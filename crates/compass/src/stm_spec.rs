@@ -341,7 +341,7 @@ pub fn check_hb_ver(g: &Graph<StmEvent>) -> SpecResult {
                 vec![id],
             ));
         };
-        if !g.event(id).logview.contains(&prod) {
+        if !g.event(id).logview.contains(prod) {
             return Err(Violation::new(
                 "STM-HB-VER",
                 format!(
@@ -382,7 +382,7 @@ pub fn check_stm_consistent_prefixes(g: &Graph<StmEvent>) -> SpecResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::event::LogView;
 
     fn id(i: u64) -> EventId {
         EventId::from_raw(i)
@@ -392,10 +392,10 @@ mod tests {
     fn graph(events: &[(StmEvent, u64, u64, &[u64])]) -> Graph<StmEvent> {
         let mut g = Graph::new();
         for (i, (ty, tid, step, preds)) in events.iter().enumerate() {
-            let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
+            let mut lv: LogView = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
-            for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+            for p in &lv {
+                closed.union_with(&g.event(p).logview);
             }
             lv = closed;
             lv.insert(id(i as u64));

@@ -189,11 +189,9 @@ mod tests {
 
     #[test]
     fn alternation_violation_detected_synthetically() {
-        use std::collections::BTreeSet;
+        use compass::LogView;
         let mut g: Graph<LockEvent> = Graph::new();
-        let lv = |ids: &[u64]| -> BTreeSet<EventId> {
-            ids.iter().map(|&i| EventId::from_raw(i)).collect()
-        };
+        let lv = |ids: &[u64]| -> LogView { ids.iter().map(|&i| EventId::from_raw(i)).collect() };
         g.add_event(LockEvent::Acq, 1, 1, lv(&[0]));
         g.add_event(LockEvent::Acq, 2, 2, lv(&[1]));
         assert_eq!(
@@ -204,11 +202,9 @@ mod tests {
 
     #[test]
     fn unsynchronized_acquire_detected_synthetically() {
-        use std::collections::BTreeSet;
+        use compass::LogView;
         let mut g: Graph<LockEvent> = Graph::new();
-        let lv = |ids: &[u64]| -> BTreeSet<EventId> {
-            ids.iter().map(|&i| EventId::from_raw(i)).collect()
-        };
+        let lv = |ids: &[u64]| -> LogView { ids.iter().map(|&i| EventId::from_raw(i)).collect() };
         g.add_event(LockEvent::Acq, 1, 1, lv(&[0]));
         g.add_event(LockEvent::Rel, 1, 2, lv(&[0, 1]));
         // Second acquire does NOT happen-after the release.
